@@ -6,7 +6,8 @@ backward arcs.  It provides exact baseline solvers for small instances,
 a polynomial-time optimal solver for sparse tournaments, a hardness
 reduction from bounded-occurrence satisfiability, a linear-vertex
 kernel for the parameterized decision problem, and a randomized
-color-coding decision procedure.
+color-coding decision procedure.  :func:`solve` routes an instance to
+the fitting solver, as the command line's ``solve`` does.
 """
 
 from .core import (
@@ -44,6 +45,7 @@ from .reduction import (
     normalize,
     parse_dimacs,
 )
+from .route import SolveReport, solve
 from .sparse import (
     build_conflict_digraph,
     decompose,
@@ -70,6 +72,7 @@ __all__ = [
     "LinearTournament",
     "OracleBudget",
     "ReductionOutput",
+    "SolveReport",
     "Triangle",
     "TripleSystem",
     "blow_up",
@@ -101,6 +104,7 @@ __all__ = [
     "packing_arcs",
     "parse_dimacs",
     "random_arc_coloring",
+    "solve",
     "steiner_triple_system",
     "trial_count",
     "tripartite_perfect_packing",

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 success or pass, 1 failure or bad input data, 2 usage
-error, 3 refusal because the instance exceeds the exact-search budget.
+error, 3 refusal because the instance exceeds the search budget.
 """
 
 from __future__ import annotations
@@ -10,11 +10,9 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 
 from . import formats, generators
 from .core import (
-    Cycle,
     LinearTournament,
     Triangle,
     check_cycle_packing,
@@ -23,36 +21,16 @@ from .core import (
     is_fully_sparse,
     is_sparse,
 )
-from .fpt import decide
 from .kernel import kernelize
-from .oracle import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    exact_max_cycle_packing,
-    exact_max_triangle_packing,
-)
+from .oracle import BudgetExceeded
 from .reduction import (
     build_reduction,
     certificate_packing,
     normalize,
     parse_dimacs,
 )
-from .sparse import max_cycle_packing_sparse, max_triangle_packing_sparse
+from .route import solve
 from .steiner import steiner_triple_system
-
-
-@dataclasses.dataclass
-class SolveReport:
-    n: int
-    backward_arcs: int
-    sparse: bool
-    fully_sparse: bool
-    method: str
-    wall_time: float
-    optimum: int | None = None
-    decision: bool | None = None
-    confidence: float | None = None
-    witness: list[str] | None = None
 
 
 def _read(path: str) -> str:
@@ -138,131 +116,36 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _triangle_lines(packing: list[Triangle]) -> list[str]:
-    return formats.format_packing(sorted(packing)).splitlines()
-
-
-def _solve_auto_method(T: LinearTournament, args) -> str:
-    if args.sparse:
-        return "sparse-poly"
-    if args.exact:
-        return "exact"
-    if args.fpt:
-        return "fpt"
-    if is_sparse(T):
-        return "sparse-poly"
-    if args.k is not None:
-        return "kernelize"
-    if T.n <= DEFAULT_BUDGET.max_vertices:
-        return "exact"
-    return "refuse"
-
-
 def _cmd_solve(args) -> int:
     T = _load_tournament(args.tournament)
-    report = SolveReport(
-        n=T.n,
-        backward_arcs=len(T.backward),
-        sparse=is_sparse(T),
-        fully_sparse=is_fully_sparse(T),
-        method="",
-        wall_time=0.0,
-    )
-    method = _solve_auto_method(T, args)
-    start = time.perf_counter()
-    if method == "refuse":
-        print(
-            f"refusing: n={T.n} exceeds the exact budget and no -k was given; "
-            "use --sparse on a sparse instance or supply -k",
-            file=sys.stderr,
-        )
-        return 3
+    if args.method == "fpt" and args.k is None:
+        print("error: --fpt requires -k", file=sys.stderr)
+        return 2
+    if args.method == "fpt" and args.cycles:
+        print("error: --fpt decides triangle packing only", file=sys.stderr)
+        return 2
     try:
-        if method == "sparse-poly":
-            if not is_sparse(T):
-                print("error: instance is not sparse", file=sys.stderr)
-                return 1
-            if args.cycles:
-                size, cycles = max_cycle_packing_sparse(T)
-                report.witness = formats.format_packing(cycles).splitlines()
-            else:
-                size, packing = max_triangle_packing_sparse(T)
-                report.witness = _triangle_lines(packing)
-            report.optimum = size
-        elif method == "exact":
-            if args.cycles:
-                size, cycles = exact_max_cycle_packing(T)
-                report.witness = formats.format_packing(cycles).splitlines()
-            else:
-                size, packing = exact_max_triangle_packing(T)
-                report.witness = _triangle_lines(packing)
-            report.optimum = size
-            if args.k is not None:
-                report.decision = size >= args.k
-        elif method == "fpt":
-            if args.k is None:
-                print("error: --fpt requires -k", file=sys.stderr)
-                return 2
-            answer, witness = decide(T, args.k, args.delta, args.seed)
-            report.decision = answer
-            report.confidence = 1 - args.delta
-            if witness is not None:
-                report.witness = _triangle_lines(witness)
-        else:  # kernelize then decide on the shrunken instance
-            result = kernelize(T, args.k)
-            if result.outcome == "early-yes":
-                report.method = "kernelize"
-                report.decision = True
-                report.witness = _triangle_lines(list(result.witness[: args.k]))
-            else:
-                kern = result.kernel
-                back = result.index_map
-                if kern.n <= DEFAULT_BUDGET.max_vertices:
-                    report.method = "kernelize+exact"
-                    size, packing = exact_max_triangle_packing(kern)
-                    report.decision = size >= args.k
-                    lifted = [
-                        Triangle.of(back[t.a], back[t.b], back[t.c])
-                        for t in packing[: args.k]
-                    ]
-                    if report.decision:
-                        report.witness = _triangle_lines(lifted)
-                else:
-                    report.method = "kernelize+fpt"
-                    answer, witness = decide(kern, args.k, args.delta, args.seed)
-                    report.decision = answer
-                    report.confidence = 1 - args.delta
-                    if witness is not None:
-                        lifted = [
-                            Triangle.of(back[t.a], back[t.b], back[t.c])
-                            for t in witness
-                        ]
-                        report.witness = _triangle_lines(lifted)
+        report = solve(
+            T, args.k, method=args.method, cycles=args.cycles,
+            delta=args.delta, seed=args.seed,
+        )
     except BudgetExceeded as exc:
         print(f"refusing: {exc}", file=sys.stderr)
         return 3
-    if not report.method:
-        report.method = method
-    report.wall_time = time.perf_counter() - start
 
     if args.json:
         print(json.dumps(dataclasses.asdict(report)))
         return 0
     if report.optimum is not None:
         print(f"optimum {report.optimum}")
-        for line in report.witness or []:
-            print(line)
+    elif report.decision:
+        print("yes")
+    elif report.confidence is None:
+        print("no")
     else:
-        if report.decision:
-            print("yes")
-            for line in report.witness or []:
-                print(line)
-        else:
-            confidence = report.confidence
-            if confidence is None:
-                print("no")
-            else:
-                print(f"no (confidence {confidence})")
+        print(f"no (confidence {report.confidence})")
+    for line in report.witness or []:
+        print(line)
     return 0
 
 
@@ -344,15 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="pack a tournament")
     solve.add_argument("tournament")
     modes = solve.add_mutually_exclusive_group()
-    modes.add_argument("--sparse", action="store_true")
-    modes.add_argument("--exact", action="store_true")
-    modes.add_argument("--fpt", action="store_true")
+    for flag, method in (("--sparse", "sparse-poly"), ("--exact", "exact"), ("--fpt", "fpt")):
+        modes.add_argument(flag, dest="method", action="store_const", const=method)
     solve.add_argument("-k", type=int, default=None)
     solve.add_argument("--cycles", action="store_true")
     solve.add_argument("--delta", type=float, default=0.001)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--json", action="store_true")
-    solve.set_defaults(func=_cmd_solve)
+    solve.set_defaults(func=_cmd_solve, method="auto")
 
     kern = sub.add_parser("kernelize", help="shrink a decision instance")
     kern.add_argument("tournament")

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 from .core import (
     Arc,
@@ -23,6 +24,9 @@ from .core import (
     enumerate_triangles,
     validate_triangle_packing,
 )
+from .oracle import DEFAULT_BUDGET, BudgetExceeded, OracleBudget
+
+M = TypeVar("M")
 
 
 @dataclass(frozen=True)
@@ -64,11 +68,9 @@ def dp_colorful_packing(
 ) -> tuple[bool, list[Triangle] | None]:
     """Exact search for k color-disjoint colorful triangles.
 
-    Subset dynamic programming over the 3k colors: a color set is
-    reachable when it splits into a reachable set plus the color triple
-    of some colorful triangle.  The full color set is reachable exactly
-    when the colored instance carries a k-packing, and the witness walks
-    the table back taking the numerically first triple at each level.
+    The 3k colors are covered by disjoint color triples exactly when the
+    colored instance carries a k-packing; each triple stands for its
+    first colorful triangle.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -85,31 +87,41 @@ def dp_colorful_packing(
             mask |= 1 << (c - 1)
         by_mask.setdefault(mask, tris[0])
 
-    full = (1 << num_colors) - 1
+    cover = _disjoint_cover(by_mask, (1 << num_colors) - 1)
+    if cover is None:
+        return False, None
+    return True, sorted(cover)
+
+
+def _disjoint_cover(by_mask: Mapping[int, M], full: int) -> list[M] | None:
+    """Members whose color masks partition ``full``, or None if none do.
+
+    Subset dynamic programming over the colors: a color set is reachable
+    when it splits into a reachable set plus the mask of some member.
+    The cover walks the table back from ``full``, taking the numerically
+    first mask at each level.
+    """
+    masks = sorted(by_mask)
     reachable = bytearray(full + 1)
     reachable[0] = 1
-    masks = sorted(by_mask)
-    for state in range(full + 1):
-        if not reachable[state]:
-            continue
-        for m in masks:
-            if state & m == 0:
-                reachable[state | m] = 1
+    for state in range(full):
+        if reachable[state]:
+            for m in masks:
+                if state & m == 0:
+                    reachable[state | m] = 1
     if not reachable[full]:
-        return False, None
-
-    witness: list[Triangle] = []
+        return None
+    cover = []
     state = full
     while state:
         for m in masks:
             if state & m == m and reachable[state ^ m]:
-                witness.append(by_mask[m])
+                cover.append(by_mask[m])
                 state ^= m
                 break
         else:
-            raise RuntimeError("reachable state with no triple split")
-    witness.sort()
-    return True, witness
+            raise RuntimeError("reachable state with no mask split")
+    return cover
 
 
 def trial_count(k: int, delta: float) -> int:
@@ -124,6 +136,8 @@ def decide(
     k: int,
     delta: float = 0.001,
     seed: int = 0,
+    *,
+    budget: OracleBudget | None = None,
 ) -> tuple[bool, list[Triangle] | None]:
     """Monte Carlo decision: does T pack k arc-disjoint triangles?
 
@@ -131,7 +145,8 @@ def decide(
     returned, so they are never wrong.  False answers are wrong with
     probability at most delta.  All randomness comes from the given seed
     through Python's Mersenne Twister, so runs are reproducible across
-    platforms.
+    platforms.  Of the budget only ``time_limit`` applies: the trials
+    stop with :class:`BudgetExceeded` once it has passed.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -146,8 +161,11 @@ def decide(
     num_colors = 3 * k
     full = (1 << num_colors) - 1
     rng = random.Random(seed)
+    deadline = time.monotonic() + (budget or DEFAULT_BUDGET).time_limit
 
     for _ in range(trial_count(k, delta)):
+        if time.monotonic() > deadline:
+            raise BudgetExceeded("time limit exhausted in FPT trials")
         palette = [rng.randrange(num_colors) for _ in arcs]
         by_mask: dict[int, int] = {}
         for ti, (i, j, l) in enumerate(tri_arcs):
@@ -158,33 +176,9 @@ def decide(
                     by_mask[mask] = ti
         if len(by_mask) < k:
             continue
-        masks = sorted(by_mask)
-        reachable = bytearray(full + 1)
-        reachable[0] = 1
-        hit = False
-        for state in range(full + 1):
-            if not reachable[state]:
-                continue
-            if state == full:
-                hit = True
-                break
-            for m in masks:
-                if state & m == 0:
-                    reachable[state | m] = 1
-        if not hit and reachable[full]:
-            hit = True
-        if hit:
-            witness = []
-            state = full
-            while state:
-                for m in masks:
-                    if state & m == m and reachable[state ^ m]:
-                        witness.append(triangles[by_mask[m]])
-                        state ^= m
-                        break
-                else:
-                    raise RuntimeError("reachable state with no triple split")
-            witness.sort()
+        cover = _disjoint_cover(by_mask, full)
+        if cover is not None:
+            witness = sorted(triangles[ti] for ti in cover)
             if not validate_triangle_packing(T, witness) or len(witness) != k:
                 raise RuntimeError("colorful witness failed validation")
             return True, witness

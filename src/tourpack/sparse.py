@@ -57,9 +57,6 @@ class ConflictDigraph:
     def successors(self, i: int) -> list[int]:
         return sorted(j for (a, j) in self.arcs if a == i)
 
-    def predecessors(self, j: int) -> list[int]:
-        return sorted(a for (a, i) in self.arcs if i == j)
-
 
 @dataclass(frozen=True)
 class ComponentInfo:
