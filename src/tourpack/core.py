@@ -12,7 +12,7 @@ functions, so everything in this module is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 Arc = tuple[int, int]
 """Directed arc as a (tail, head) pair of positions."""
@@ -83,7 +83,7 @@ def from_backward_arcs(n: int, backward: Iterable[Arc]) -> LinearTournament:
     return LinearTournament(n, frozenset(seen))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Triangle:
     """Directed 3-cycle a -> b -> c -> a, stored with the smallest vertex first."""
 
@@ -109,7 +109,7 @@ class Triangle:
         return ((self.a, self.b), (self.b, self.c), (self.c, self.a))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Cycle:
     """Simple directed cycle, stored with the smallest vertex first."""
 
@@ -133,7 +133,7 @@ class Cycle:
         return tuple((vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
 
 
-PackingMember = Union[Triangle, Cycle]
+PackingMember = Triangle | Cycle
 
 
 def enumerate_triangles(T: LinearTournament) -> list[Triangle]:

@@ -93,29 +93,33 @@ def dp_colorful_packing(
     return True, sorted(cover)
 
 
-def _disjoint_cover(by_mask: Mapping[int, M], full: int) -> list[M] | None:
+def _disjoint_cover(
+    by_mask: Mapping[int, M], full: int, deadline: float = math.inf
+) -> list[M] | None:
     """Members whose color masks partition ``full``, or None if none do.
 
-    Subset dynamic programming over the colors: a color set is reachable
-    when it splits into a reachable set plus the mask of some member.
-    The cover walks the table back from ``full``, taking the numerically
-    first mask at each level.
+    Dynamic programming over the reachable color sets only, layer by
+    layer from the empty set; past ``deadline``, a ``time.monotonic``
+    reading, it raises :class:`BudgetExceeded`.  The cover walks back
+    from ``full``, taking the numerically first mask at each level.
     """
     masks = sorted(by_mask)
-    reachable = bytearray(full + 1)
-    reachable[0] = 1
-    for state in range(full):
-        if reachable[state]:
-            for m in masks:
-                if state & m == 0:
-                    reachable[state | m] = 1
-    if not reachable[full]:
+    reachable, layer = {0}, {0}
+    while layer:
+        grown = set()
+        for state in layer:
+            if time.monotonic() > deadline:
+                raise BudgetExceeded("time limit exhausted in the color-set DP")
+            grown.update(state | m for m in masks if state & m == 0)
+        layer = grown - reachable
+        reachable |= layer
+    if full not in reachable:
         return None
     cover = []
     state = full
     while state:
         for m in masks:
-            if state & m == m and reachable[state ^ m]:
+            if state & m == m and state ^ m in reachable:
                 cover.append(by_mask[m])
                 state ^= m
                 break
@@ -176,7 +180,7 @@ def decide(
                     by_mask[mask] = ti
         if len(by_mask) < k:
             continue
-        cover = _disjoint_cover(by_mask, full)
+        cover = _disjoint_cover(by_mask, full, deadline)
         if cover is not None:
             witness = sorted(triangles[ti] for ti in cover)
             if not validate_triangle_packing(T, witness) or len(witness) != k:

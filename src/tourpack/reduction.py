@@ -435,12 +435,15 @@ def decode_assignment(
         raise ValueError(
             f"packing size {len(packing)} differs from threshold {R.threshold}"
         )
+    gadget_of = {v: var for var, g in enumerate(R.variables) for v in g.positions()}
+    restrictions: list[set[Triangle]] = [set() for _ in R.variables]
+    for tri in packing:
+        a, b, c = (gadget_of.get(v) for v in tri.vertices())
+        if a is not None and a == b == c:
+            restrictions[a].add(tri)
     out = []
     for var, g in enumerate(R.variables):
-        inside = set(g.positions())
-        restriction = {
-            tri for tri in packing if all(v in inside for v in tri.vertices())
-        }
+        restriction = restrictions[var]
         named = {
             key: set(tris) for key, tris in variable_gadget_packings(g).items()
         }

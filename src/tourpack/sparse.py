@@ -9,12 +9,17 @@ digraph: backward arcs become vertices, and an optimum packing
 corresponds to a maximum digon-free subgraph in which no vertex has two
 outgoing arcs.  That optimum is b - k where k counts terminal strong
 components that are single vertices or digoned trees.
+
+With backward arcs (t_i, h_i) ordered by head, conflict arc i -> j exists
+iff h_i < h_j < t_i or h_i < t_j < t_i (the interval rule), so a segment
+with b backward arcs and |E| conflict arcs costs O(b log b + |E|).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     Cycle,
@@ -31,7 +36,7 @@ DIGONED_TREE = "digoned-tree"
 HAS_LONG_CYCLE = "has-long-cycle"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessPair:
     """Triangles certifying one conflict arc, by witness shape."""
 
@@ -47,15 +52,24 @@ class ConflictDigraph:
     head position.  An arc i -> j is present when redirecting arc j's
     triangle choice frees a triangle for arc i; the witness records
     which triangle shapes apply.  ``backward`` is None for synthetic
-    digraphs built directly in tests.
+    digraphs built directly in tests.  ``succ`` and ``pred``, the sorted
+    adjacency lists, are built from ``arcs`` once: keep ``arcs`` fixed.
     """
 
     num_vertices: int
     arcs: dict[tuple[int, int], WitnessPair]
     backward: tuple[tuple[int, int], ...] | None = None
+    succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    pred: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def successors(self, i: int) -> list[int]:
-        return sorted(j for (a, j) in self.arcs if a == i)
+    def __post_init__(self) -> None:
+        succ: list[list[int]] = [[] for _ in range(self.num_vertices)]
+        pred: list[list[int]] = [[] for _ in range(self.num_vertices)]
+        for u, v in self.arcs:
+            succ[u].append(v)
+            pred[v].append(u)
+        self.succ = tuple(tuple(sorted(adj)) for adj in succ)
+        self.pred = tuple(tuple(sorted(adj)) for adj in pred)
 
 
 @dataclass(frozen=True)
@@ -134,37 +148,41 @@ def decompose(
     return segments, bridging
 
 
-def _triangle_if(T: LinearTournament, a: int, b: int, c: int) -> Triangle | None:
-    if a == b or b == c or a == c:
-        return None
-    if T.has_arc(a, b) and T.has_arc(b, c) and T.has_arc(c, a):
-        return Triangle.of(a, b, c)
-    return None
-
-
 def build_conflict_digraph(T: LinearTournament) -> ConflictDigraph:
-    """Conflict digraph of a normalized fully sparse tournament."""
+    """Conflict digraph of a normalized fully sparse tournament.
+
+    With backward arcs (t_i, h_i) ordered by head, i -> j exists iff
+    h_i < h_j < t_i (head witness (h_i, h_j, t_i)) or h_i < t_j < t_i
+    (tail witness (h_i, t_j, t_i)); for j > i the second implies the first.
+    """
     if not is_fully_sparse(T):
         raise ValueError("conflict digraph requires a fully sparse tournament")
     if any(t == h + 1 for t, h in T.backward):
         raise ValueError("conflict digraph requires a normalized representation")
     ordered = sorted(T.backward, key=lambda arc: arc[1])
+    heads = [h for _, h in ordered]
+    # the j > i with h_j < t_i form the index run i + 1 .. ends[i] - 1
+    ends = [bisect_left(heads, t) for t, _ in ordered]
+    below: list[list[int]] = [[] for _ in ordered]
+    for j, (tj, _) in enumerate(ordered):
+        for i in range(j + 1, ends[j]):
+            if ordered[i][0] > tj:
+                below[i].append(j)  # h_i < t_j < t_i, in increasing j
     arcs: dict[tuple[int, int], WitnessPair] = {}
     for i, (ti, hi) in enumerate(ordered):
-        for j, (tj, hj) in enumerate(ordered):
-            if i == j:
-                continue
-            head_w = _triangle_if(T, hi, hj, ti)
-            tail_w = _triangle_if(T, hi, tj, ti)
-            if head_w is not None or tail_w is not None:
-                arcs[(i, j)] = WitnessPair(head_w, tail_w)
+        for j in below[i]:
+            arcs[(i, j)] = WitnessPair(None, Triangle(hi, ordered[j][0], ti))
+        for j in range(i + 1, ends[i]):
+            tj, hj = ordered[j]
+            tail_w = Triangle(hi, tj, ti) if tj < ti else None
+            arcs[(i, j)] = WitnessPair(Triangle(hi, hj, ti), tail_w)
     return ConflictDigraph(len(ordered), arcs, tuple(ordered))
 
 
 def _strong_components(g: ConflictDigraph) -> list[tuple[int, ...]]:
     # iterative Tarjan; components come out sorted by minimum vertex
     n = g.num_vertices
-    succ = [g.successors(v) for v in range(n)]
+    succ = g.succ
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -221,30 +239,29 @@ def classify_components(g: ConflictDigraph) -> list[ComponentInfo]:
     length at least 3.
     """
     components = _strong_components(g)
-    comp_of = {}
+    comp_of = [0] * g.num_vertices
     for ci, comp in enumerate(components):
         for v in comp:
             comp_of[v] = ci
-    terminal = [True] * len(components)
-    for u, v in g.arcs:
-        if comp_of[u] != comp_of[v]:
-            terminal[comp_of[u]] = False
     out = []
     for ci, comp in enumerate(components):
-        members = set(comp)
+        terminal = True
+        internal = 0
+        reciprocated = True
+        for u in comp:
+            for v in g.succ[u]:
+                if comp_of[v] != ci:
+                    terminal = False
+                else:
+                    internal += 1
+                    reciprocated = reciprocated and (v, u) in g.arcs
         if len(comp) == 1:
             kind = ISOLATED_VERTEX
+        elif reciprocated and internal // 2 == len(comp) - 1:
+            kind = DIGONED_TREE
         else:
-            internal = [
-                (u, v) for (u, v) in g.arcs if u in members and v in members
-            ]
-            reciprocated = all((v, u) in g.arcs for (u, v) in internal)
-            undirected = len(internal) // 2
-            if reciprocated and undirected == len(comp) - 1:
-                kind = DIGONED_TREE
-            else:
-                kind = HAS_LONG_CYCLE
-        out.append(ComponentInfo(comp, kind, terminal[ci]))
+            kind = HAS_LONG_CYCLE
+        out.append(ComponentInfo(comp, kind, terminal))
     return out
 
 
@@ -252,7 +269,7 @@ def _short_long_cycle(g: ConflictDigraph, members: set[int]) -> list[int]:
     # shortest cycle of length >= 3 inside a strong component: close
     # v -> w with a shortest w..v path that avoids the direct arc
     for v in sorted(members):
-        for w in g.successors(v):
+        for w in g.succ[v]:
             if w not in members:
                 continue
             parent = {w: None}
@@ -261,7 +278,7 @@ def _short_long_cycle(g: ConflictDigraph, members: set[int]) -> list[int]:
                 u = queue.popleft()
                 if u == v:
                     break
-                for x in g.successors(u):
+                for x in g.succ[u]:
                     if x not in members or x in parent:
                         continue
                     if u == w and x == v:
@@ -290,25 +307,22 @@ def _branch_to_targets(
     sorted neighbor scans make ties deterministic, preferring lower
     indices.
     """
-    preds: dict[int, list[int]] = {}
-    for (u, v) in g.arcs:
-        if members is not None and (u not in members or v not in members):
-            continue
-        preds.setdefault(v, []).append(u)
     next_hop: dict[int, int] = {}
     seen = set(sources)
     queue = deque(sorted(sources))
     while queue:
         v = queue.popleft()
-        for u in sorted(preds.get(v, ())):
-            if u not in seen:
+        for u in g.pred[v]:
+            if u not in seen and (members is None or u in members):
                 seen.add(u)
                 next_hop[u] = v
                 queue.append(u)
     return next_hop
 
 
-def solve_pi_prime(g: ConflictDigraph) -> list[tuple[int, int]]:
+def solve_pi_prime(
+    g: ConflictDigraph, components: list[ComponentInfo] | None = None
+) -> list[tuple[int, int]]:
     """Maximum digon-free arc set with out-degree at most one everywhere.
 
     Terminal components that hold a long cycle are covered completely:
@@ -316,9 +330,11 @@ def solve_pi_prime(g: ConflictDigraph) -> list[tuple[int, int]]:
     digoned tree takes an in-branching to its lowest vertex, one arc
     short of covering; a terminal isolated vertex takes nothing.  All
     remaining vertices point along shortest paths toward the finished
-    components, so the result has exactly b - k arcs.
+    components, so the result has exactly b - k arcs.  ``components``
+    is ``classify_components(g)``, computed here when not given.
     """
-    components = classify_components(g)
+    if components is None:
+        components = classify_components(g)
     chosen: set[tuple[int, int]] = set()
     done: set[int] = set()
     k = 0
@@ -336,8 +352,8 @@ def solve_pi_prime(g: ConflictDigraph) -> list[tuple[int, int]]:
             queue = deque([root])
             while queue:
                 v = queue.popleft()
-                for u in g.successors(v):
-                    if u in members and u not in seen and (v, u) in g.arcs:
+                for u in g.succ[v]:
+                    if u in members and u not in seen:
                         # digoned component: u -> v exists as well
                         seen.add(u)
                         chosen.add((u, v))
@@ -417,12 +433,10 @@ def max_triangle_packing_sparse(
     packing = [_map_triangle(tri, lambda p: perm[p]) for tri in bridging]
     for sub, index_map in segments:
         g = build_conflict_digraph(sub)
-        for comp in classify_components(g):
-            if comp.terminal and comp.kind == ISOLATED_VERTEX:
-                raise RuntimeError(
-                    "terminal isolated vertex in a fully sparse segment"
-                )
-        X = solve_pi_prime(g)
+        components = classify_components(g)
+        if any(c.terminal and c.kind == ISOLATED_VERTEX for c in components):
+            raise RuntimeError("terminal isolated vertex in a fully sparse segment")
+        X = solve_pi_prime(g, components)
         for tri in pi_map(g, X):
             packing.append(_map_triangle(tri, lambda p: perm[index_map[p]]))
     err = check_triangle_packing(T, packing)

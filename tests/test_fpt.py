@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from tourpack.fpt import (
     trial_count,
 )
 from tourpack.generators import random_tournament
-from tourpack.oracle import exact_max_triangle_packing
+from tourpack.oracle import BudgetExceeded, OracleBudget, exact_max_triangle_packing
 
 
 def T(n, *backward):
@@ -148,3 +149,12 @@ def test_decide_sound_against_oracle():
         # that certain-no inputs never flip to yes
         if not truth:
             assert not answer
+
+
+def test_decide_color_set_dp_stays_within_time_limit():
+    # k=15 means 45 colors: a table over every color set would need 32 TiB,
+    # so the DP must visit reachable sets only and stop at the deadline
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        decide(random_tournament(16, 1), 15, budget=OracleBudget(time_limit=0.5))
+    assert time.monotonic() - start < 5

@@ -200,6 +200,16 @@ def test_decode_rejects_wrong_size():
         decode_assignment(R, packing[:-1])
 
 
+def test_decode_rejects_nonconforming_gadget():
+    R = build_reduction(two_clause_instance())
+    packing = certificate_packing(R, [True, True, True])
+    inside = set(R.variables[1].positions())
+    k = next(i for i, tri in enumerate(packing) if set(tri.vertices()) <= inside)
+    outside = next(tri for tri in packing if not set(tri.vertices()) <= inside)
+    with pytest.raises(ValueError, match="gadget 1 restriction"):
+        decode_assignment(R, packing[:k] + [outside] + packing[k + 1 :])
+
+
 def test_smallest_reduction_matches_oracle():
     # a clause-free formula yields a 9-vertex tournament the exhaustive
     # solver can still handle; the optimum must hit the threshold

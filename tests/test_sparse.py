@@ -8,7 +8,10 @@ from tourpack.core import (
     validate_cycle_packing,
     validate_triangle_packing,
 )
-from tourpack.generators import random_sparse_tournament
+from tourpack.generators import (
+    random_fully_sparse_tournament,
+    random_sparse_tournament,
+)
 from tourpack.oracle import exact_max_cycle_packing, exact_max_triangle_packing
 from tourpack.sparse import (
     DIGONED_TREE,
@@ -33,6 +36,27 @@ def T(n, *backward):
 
 def digraph(n, *arcs):
     return ConflictDigraph(n, {a: WitnessPair(None, None) for a in arcs})
+
+
+def _triangle_if(t, a, b, c):
+    if t.has_arc(a, b) and t.has_arc(b, c) and t.has_arc(c, a):
+        return Triangle.of(a, b, c)
+    return None
+
+
+def reference_conflict_arcs(t):
+    """Conflict arcs by probing both witness shapes for every ordered pair."""
+    ordered = sorted(t.backward, key=lambda arc: arc[1])
+    arcs = {}
+    for i, (ti, hi) in enumerate(ordered):
+        for j, (tj, hj) in enumerate(ordered):
+            if i == j:
+                continue
+            head_w = _triangle_if(t, hi, hj, ti)
+            tail_w = _triangle_if(t, hi, tj, ti)
+            if head_w is not None or tail_w is not None:
+                arcs[(i, j)] = WitnessPair(head_w, tail_w)
+    return arcs
 
 
 def test_normalize_swaps_consecutive_arcs():
@@ -118,6 +142,18 @@ def test_conflict_digraph_three_interleaved():
     assert g.num_vertices == 3
     # every ordered pair conflicts here
     assert set(g.arcs) == {(i, j) for i in range(3) for j in range(3) if i != j}
+
+
+def test_conflict_digraph_interval_rule_matches_reference():
+    rng = random.Random(41)
+    for trial in range(200):
+        t = random_fully_sparse_tournament(2 * rng.randint(2, 20), rng)
+        g = build_conflict_digraph(t)
+        ref = reference_conflict_arcs(t)
+        assert list(g.arcs.items()) == list(ref.items()), (trial, t)
+        for i in range(g.num_vertices):
+            assert g.succ[i] == tuple(sorted(j for a, j in ref if a == i))
+            assert g.pred[i] == tuple(sorted(a for a, j in ref if j == i))
 
 
 def test_conflict_digraph_input_checks():
@@ -240,3 +276,19 @@ def test_sparse_cycle_solver_matches_triangle_optimum():
         assert validate_cycle_packing(t, cycles)
         oracle_size, _ = exact_max_cycle_packing(t)
         assert cyc_size == oracle_size, t
+
+
+def test_sparse_solver_probes_arcs_only_in_final_check(monkeypatch):
+    t = random_fully_sparse_tournament(1600, 43)
+    calls = 0
+    has_arc = LinearTournament.has_arc
+
+    def counting_has_arc(self, u, v):
+        nonlocal calls
+        calls += 1
+        return has_arc(self, u, v)
+
+    monkeypatch.setattr(LinearTournament, "has_arc", counting_has_arc)
+    size, packing = max_triangle_packing_sparse(t)
+    assert size == len(packing) > 0
+    assert calls <= 3 * size
