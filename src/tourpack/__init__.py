@@ -22,12 +22,11 @@ from .core import (
     induced_subtournament,
     is_fully_sparse,
     is_sparse,
-    local_out_degree,
     packing_arcs,
     validate_cycle_packing,
     validate_triangle_packing,
 )
-from .fpt import decide, dp_colorful_packing, random_arc_coloring, trial_count
+from .fpt import decide, trial_count
 from .kernel import KernelResult, greedy_maximal_packing, kernelize
 from .oracle import (
     BudgetExceeded,
@@ -85,7 +84,6 @@ __all__ = [
     "decide",
     "decode_assignment",
     "decompose",
-    "dp_colorful_packing",
     "enumerate_triangles",
     "exact_max_cycle_packing",
     "exact_max_triangle_packing",
@@ -95,7 +93,6 @@ __all__ = [
     "is_fully_sparse",
     "is_sparse",
     "kernelize",
-    "local_out_degree",
     "max_cycle_packing_sparse",
     "max_triangle_packing_sparse",
     "normalize",
@@ -103,7 +100,6 @@ __all__ = [
     "orient_clique",
     "packing_arcs",
     "parse_dimacs",
-    "random_arc_coloring",
     "solve",
     "steiner_triple_system",
     "trial_count",

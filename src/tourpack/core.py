@@ -64,9 +64,6 @@ class LinearTournament:
                 else:
                     yield (u, v)
 
-    def out_neighbors(self, u: int) -> list[int]:
-        return [v for v in range(self.n) if v != u and self.has_arc(u, v)]
-
 
 def from_backward_arcs(n: int, backward: Iterable[Arc]) -> LinearTournament:
     """Build a tournament, rejecting malformed or duplicate backward arcs."""
@@ -264,18 +261,3 @@ def induced_subtournament(
     }
     return LinearTournament(len(order), frozenset(sub)), tuple(order)
 
-
-def local_out_degree(
-    T: LinearTournament,
-    X: Iterable[int],
-    packing: Sequence[PackingMember],
-    x: int,
-) -> int:
-    """Number of arcs from x into X that no packing member uses."""
-    xs = set(X)
-    if x not in xs:
-        raise ValueError(f"vertex {x} not in X")
-    used = packing_arcs(packing)
-    return sum(
-        1 for a in xs if a != x and T.has_arc(x, a) and (x, a) not in used
-    )

@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from typing import Mapping, TypeVar
 
 from .core import (
-    Arc,
     LinearTournament,
     Triangle,
     enumerate_triangles,
@@ -27,70 +25,6 @@ from .core import (
 from .oracle import DEFAULT_BUDGET, BudgetExceeded, OracleBudget
 
 M = TypeVar("M")
-
-
-@dataclass(frozen=True)
-class ArcColoring:
-    """Total map from the arcs of a tournament to colors 1..num_colors."""
-
-    num_colors: int
-    colors: tuple[tuple[Arc, int], ...]
-    seed: int | None = None
-
-    def as_dict(self) -> dict[Arc, int]:
-        return dict(self.colors)
-
-
-def random_arc_coloring(
-    T: LinearTournament, num_colors: int, rng: random.Random, seed: int | None = None
-) -> ArcColoring:
-    if num_colors < 1:
-        raise ValueError(f"need at least one color, got {num_colors}")
-    pairs = tuple((arc, rng.randint(1, num_colors)) for arc in T.arcs())
-    return ArcColoring(num_colors, pairs, seed)
-
-
-def colorful_triangle_index(
-    T: LinearTournament, coloring: ArcColoring | Mapping[Arc, int]
-) -> dict[tuple[int, int, int], list[Triangle]]:
-    """Triangles with three distinct arc colors, keyed by sorted color triple."""
-    colors = coloring.as_dict() if isinstance(coloring, ArcColoring) else dict(coloring)
-    index: dict[tuple[int, int, int], list[Triangle]] = {}
-    for tri in enumerate_triangles(T):
-        a, b, c = (colors[arc] for arc in tri.arcs())
-        if a != b and b != c and a != c:
-            index.setdefault(tuple(sorted((a, b, c))), []).append(tri)
-    return index
-
-
-def dp_colorful_packing(
-    T: LinearTournament, coloring: ArcColoring | Mapping[Arc, int], k: int
-) -> tuple[bool, list[Triangle] | None]:
-    """Exact search for k color-disjoint colorful triangles.
-
-    The 3k colors are covered by disjoint color triples exactly when the
-    colored instance carries a k-packing; each triple stands for its
-    first colorful triangle.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    colors = coloring.as_dict() if isinstance(coloring, ArcColoring) else dict(coloring)
-    num_colors = 3 * k
-    index = colorful_triangle_index(T, colors)
-
-    by_mask: dict[int, Triangle] = {}
-    for triple, tris in sorted(index.items()):
-        if any(c > num_colors for c in triple):
-            raise ValueError(f"color triple {triple} outside 1..{num_colors}")
-        mask = 0
-        for c in triple:
-            mask |= 1 << (c - 1)
-        by_mask.setdefault(mask, tris[0])
-
-    cover = _disjoint_cover(by_mask, (1 << num_colors) - 1)
-    if cover is None:
-        return False, None
-    return True, sorted(cover)
 
 
 def _disjoint_cover(

@@ -108,13 +108,13 @@ class KernelResult:
 
 
 def kernelize(T: LinearTournament, k: int) -> KernelResult:
-    """Shrink the instance to at most 6k vertices or answer outright.
+    """Shrink the instance to at most 4k - 4 vertices or answer outright.
 
     Answers early-yes when the greedy packing already has k triangles,
     or when the arc-to-outside matching does: matched triangles share no
     arcs since their inner arcs differ and their outside vertices do.
-    Otherwise both sides are below k, so keeping the packed vertices and
-    the matched outside vertices leaves under 4k of them.
+    Otherwise both sides are below k, so the kernel keeps at most
+    3(k - 1) packed vertices and k - 1 matched outside ones.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -135,17 +135,3 @@ def kernelize(T: LinearTournament, k: int) -> KernelResult:
     sub, index_map = induced_subtournament(T, keep)
     return KernelResult("kernel", k, kernel=sub, index_map=index_map)
 
-
-def check_maximality_structure(T: LinearTournament, X: Sequence[Triangle]) -> str | None:
-    """Audit that no triangle uses two vertices outside V_X.
-
-    Such a triangle would be arc-disjoint from X, contradicting
-    maximality; this also certifies that T restricted to the outside
-    vertices is acyclic.
-    """
-    packed = {v for tri in X for v in tri.vertices()}
-    for tri in enumerate_triangles(T):
-        outside = sum(1 for v in tri.vertices() if v not in packed)
-        if outside >= 2:
-            return f"{tri} has {outside} vertices outside the packing"
-    return None

@@ -1,18 +1,31 @@
 """Exact reference solvers for small instances.
 
-These are deliberately simple exhaustive searches meant to certify the
-answers of the polynomial and parameterized solvers on small inputs.
-They refuse oversized instances via :class:`BudgetExceeded` rather than
-degrade into approximations, so a budget error is an explicit outcome
-and never a silently wrong answer.
+Both packing oracles run one branch-and-bound search for a largest
+arc-disjoint family of directed cycles: triangles for
+:func:`exact_max_triangle_packing`, all simple cycles for
+:func:`exact_max_cycle_packing`.  Every directed cycle uses a backward
+arc of the representation, so the search branches on the open backward
+arc (neither used nor given up) with the fewest candidates still
+placeable, trying each candidate and then giving the arc up.  It prunes
+with the smaller of two bounds on how many more members fit: the number
+of open backward arcs, and a third of Σ_v min(free in-degree, free
+out-degree), since a member of length L uses one in-arc and one out-arc
+at each of its L vertices.
+
+The oracles refuse oversized instances via :class:`BudgetExceeded`
+rather than degrade into approximations, so a budget error is an
+explicit outcome and never a silently wrong answer.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence, TypeVar
 
 from .core import Cycle, LinearTournament, Triangle, enumerate_triangles
+
+M = TypeVar("M", Triangle, Cycle)
 
 
 @dataclass(frozen=True)
@@ -29,77 +42,94 @@ class BudgetExceeded(Exception):
     """Instance too large for the requested exhaustive computation."""
 
 
-def _arc_ids(T: LinearTournament) -> dict[tuple[int, int], int]:
-    return {arc: i for i, arc in enumerate(T.arcs())}
+def _check_vertices(T: LinearTournament, budget: OracleBudget) -> None:
+    if T.n > budget.max_vertices:
+        raise BudgetExceeded(
+            f"n={T.n} exceeds budget.max_vertices={budget.max_vertices}"
+        )
+
+
+def _max_arc_disjoint(
+    T: LinearTournament, members: Sequence[M], deadline: float
+) -> list[M]:
+    """Largest arc-disjoint subfamily of ``members``, the first in search order.
+
+    Each member must be a directed cycle of T, so it uses a backward
+    arc.  The search branches on the open backward arc with the fewest
+    live candidates (lowest index on ties): one child per candidate in
+    member order, then one child that gives the arc up.
+    """
+    arc_bit = {arc: 1 << i for i, arc in enumerate(T.arcs())}
+    bw_index = {arc: j for j, arc in enumerate(sorted(T.backward))}
+    masks, bw_masks, sizes = [], [], []
+    covering: list[list[int]] = [[] for _ in bw_index]
+    for i, member in enumerate(members):
+        mask = bws = 0
+        for arc in member.arcs():
+            mask |= arc_bit[arc]
+            j = bw_index.get(arc)
+            if j is not None:
+                bws |= 1 << j
+                covering[j].append(i)
+        masks.append(mask)
+        bw_masks.append(bws)
+        sizes.append(len(member.arcs()))
+
+    # greedy seed so the bound starts pruning immediately
+    best: list[M] = []
+    used = 0
+    for i, member in enumerate(members):
+        if not masks[i] & used:
+            best.append(member)
+            used |= masks[i]
+
+    out_deg = [0] * T.n
+    for u, _ in arc_bit:
+        out_deg[u] += 1
+    degree_slack = sum(min(d, T.n - 1 - d) for d in out_deg)
+
+    def search(used: int, open_bw: int, slack: int, chosen: list[M]) -> None:
+        nonlocal best
+        if time.monotonic() > deadline:
+            raise BudgetExceeded("time limit exhausted in packing search")
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if len(chosen) + min(open_bw.bit_count(), slack // 3) <= len(best):
+            return
+        pick, pick_live = -1, None
+        closed = ~open_bw
+        rest = open_bw
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            live = [
+                i
+                for i in covering[j]
+                if not masks[i] & used and not bw_masks[i] & closed
+            ]
+            if pick_live is None or len(live) < len(pick_live):
+                pick, pick_live = j, live
+                if not live:
+                    break
+        for i in pick_live:
+            chosen.append(members[i])
+            search(used | masks[i], open_bw & ~bw_masks[i], slack - sizes[i], chosen)
+            chosen.pop()
+        search(used, open_bw & ~(1 << pick), slack, chosen)
+
+    search(0, (1 << len(bw_index)) - 1, degree_slack, [])
+    return best
 
 
 def exact_max_triangle_packing(
     T: LinearTournament, budget: OracleBudget | None = None
 ) -> tuple[int, list[Triangle]]:
-    """Optimum arc-disjoint triangle packing by branch and bound.
-
-    Candidates are branched in order of ascending conflict count with
-    lexicographic tie-break, and the search prunes with the smaller of
-    the free-arc bound floor(free/3) and the count of unused backward
-    arcs (every triangle consumes at least one backward arc).  The
-    returned packing is the first optimum in this fixed order, so
-    results are stable across runs.
-    """
+    """Optimum arc-disjoint triangle packing, sorted canonically."""
     budget = budget or DEFAULT_BUDGET
-    if T.n > budget.max_vertices:
-        raise BudgetExceeded(
-            f"n={T.n} exceeds budget.max_vertices={budget.max_vertices}"
-        )
+    _check_vertices(T, budget)
     deadline = time.monotonic() + budget.time_limit
-
-    tris = enumerate_triangles(T)
-    if not tris:
-        return 0, []
-    arc_id = _arc_ids(T)
-    masks = []
-    for tri in tris:
-        m = 0
-        for arc in tri.arcs():
-            m |= 1 << arc_id[arc]
-        masks.append(m)
-    backward_mask = 0
-    for arc in T.backward:
-        backward_mask |= 1 << arc_id[arc]
-    total_arcs = len(arc_id)
-
-    conflicts = [
-        sum(1 for other in masks if other is not m and other & m) for m in masks
-    ]
-    order = sorted(range(len(tris)), key=lambda i: (conflicts[i], tris[i]))
-    tris = [tris[i] for i in order]
-    masks = [masks[i] for i in order]
-    count = len(tris)
-
-    best: list[Triangle] = []
-
-    def rec(idx: int, used: int, chosen: list[Triangle]) -> None:
-        nonlocal best
-        if time.monotonic() > deadline:
-            raise BudgetExceeded("time limit exhausted in triangle search")
-        if len(chosen) > len(best):
-            best = list(chosen)
-        free_backward = bin(backward_mask & ~used).count("1")
-        free_arcs = total_arcs - bin(used).count("1")
-        bound = len(chosen) + min(free_backward, free_arcs // 3, count - idx)
-        if bound <= len(best):
-            return
-        while idx < count and masks[idx] & used:
-            idx += 1
-            if len(chosen) + min(free_backward, count - idx) <= len(best):
-                return
-        if idx == count:
-            return
-        chosen.append(tris[idx])
-        rec(idx + 1, used | masks[idx], chosen)
-        chosen.pop()
-        rec(idx + 1, used, chosen)
-
-    rec(0, 0, [])
+    best = _max_arc_disjoint(T, enumerate_triangles(T), deadline)
     return len(best), sorted(best)
 
 
@@ -144,82 +174,15 @@ def exact_max_cycle_packing(
 ) -> tuple[int, list[Cycle]]:
     """Optimum arc-disjoint cycle packing over all simple cycles.
 
-    Branches on the first backward arc not yet consumed or skipped:
-    every directed cycle contains a backward arc of the representation,
-    so assigning each backward arc either one covering cycle or the
-    skip marker enumerates all packings once.
+    Refuses when T has more than ``budget.max_cycles`` simple cycles.
+    The packing is sorted by length, then by vertices.
     """
     budget = budget or DEFAULT_BUDGET
-    if T.n > budget.max_vertices:
-        raise BudgetExceeded(
-            f"n={T.n} exceeds budget.max_vertices={budget.max_vertices}"
-        )
+    _check_vertices(T, budget)
     deadline = time.monotonic() + budget.time_limit
     cycles = enumerate_simple_cycles(T, budget.max_cycles, deadline)
-    if not cycles:
-        return 0, []
     cycles.sort(key=lambda c: (len(c), c.vertices))
-
-    arc_id = _arc_ids(T)
-    bw_list = sorted(T.backward)
-    bw_index = {arc: i for i, arc in enumerate(bw_list)}
-    b = len(bw_list)
-    total_arcs = len(arc_id)
-
-    masks = []
-    bw_sets = []
-    by_first_bw: list[list[int]] = [[] for _ in range(b)]
-    for ci, cyc in enumerate(cycles):
-        m = 0
-        bws = 0
-        for arc in cyc.arcs():
-            m |= 1 << arc_id[arc]
-            j = bw_index.get(arc)
-            if j is not None:
-                bws |= 1 << j
-        masks.append(m)
-        bw_sets.append(bws)
-        for j in range(b):
-            if bws >> j & 1:
-                by_first_bw[j].append(ci)
-
-    # greedy seed so the bound starts pruning immediately
-    best: list[Cycle] = []
-    seed_used = 0
-    for ci, cyc in enumerate(cycles):
-        if masks[ci] & seed_used == 0:
-            best.append(cyc)
-            seed_used |= masks[ci]
-
-    bw_arc_bits = [1 << arc_id[arc] for arc in bw_list]
-
-    def rec(i: int, used: int, skipped: int, chosen: list[Cycle]) -> None:
-        nonlocal best
-        if time.monotonic() > deadline:
-            raise BudgetExceeded("time limit exhausted in cycle search")
-        if len(chosen) > len(best):
-            best = list(chosen)
-        while i < b and used & bw_arc_bits[i]:
-            i += 1
-        if i == b:
-            return
-        free_bw = sum(
-            1
-            for j in range(i, b)
-            if not used & bw_arc_bits[j] and not skipped >> j & 1
-        )
-        free_arcs = total_arcs - bin(used).count("1")
-        if len(chosen) + min(free_bw, free_arcs // 3) <= len(best):
-            return
-        for ci in by_first_bw[i]:
-            if masks[ci] & used or bw_sets[ci] & skipped:
-                continue
-            chosen.append(cycles[ci])
-            rec(i + 1, used | masks[ci], skipped, chosen)
-            chosen.pop()
-        rec(i + 1, used, skipped | 1 << i, chosen)
-
-    rec(0, 0, 0, [])
+    best = _max_arc_disjoint(T, cycles, deadline)
     return len(best), sorted(best, key=lambda c: (len(c), c.vertices))
 
 
@@ -233,12 +196,8 @@ def exact_min_fas(
     programming over vertex subsets (the cost of appending v to a
     placed set S is the number of arcs from v into S).
     """
-    budget = budget or DEFAULT_BUDGET
+    _check_vertices(T, budget or DEFAULT_BUDGET)
     n = T.n
-    if n > budget.max_vertices:
-        raise BudgetExceeded(
-            f"n={T.n} exceeds budget.max_vertices={budget.max_vertices}"
-        )
     if n == 0:
         return 0, frozenset()
 

@@ -113,11 +113,6 @@ def orient_clique(system: TripleSystem) -> LinearTournament:
     return LinearTournament(system.n, frozenset(backward))
 
 
-def triple_triangles(system: TripleSystem) -> list[Triangle]:
-    """The perfect packing carried by orient_clique's tournament."""
-    return [Triangle(a, b, c) for a, b, c in system.triples]
-
-
 def blow_up(T: LinearTournament, size: int) -> LinearTournament:
     """Replace each vertex by a block of consecutive positions.
 

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+from helpers import triple_triangles
 from tourpack.core import (
     LinearTournament,
     enumerate_triangles,
@@ -40,7 +41,6 @@ from tourpack.steiner import (
     blow_up,
     orient_clique,
     steiner_triple_system,
-    triple_triangles,
     tripartite_perfect_packing,
 )
 
@@ -198,7 +198,7 @@ def test_criterion_5_kernel_bound_and_equivalence():
         else:
             kern = result.kernel
             answer = has_disjoint_triangles(kern, k)
-            good = kern.n <= 6 * k and answer == truth
+            good = kern.n <= 4 * k - 4 and answer == truth
         if not good:
             failures += 1
         samples += 1

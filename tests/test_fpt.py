@@ -3,14 +3,13 @@ import time
 
 import pytest
 
-from tourpack.core import LinearTournament, Triangle, validate_triangle_packing
-from tourpack.fpt import (
-    colorful_triangle_index,
-    decide,
-    dp_colorful_packing,
-    random_arc_coloring,
-    trial_count,
+from tourpack.core import (
+    LinearTournament,
+    Triangle,
+    enumerate_triangles,
+    validate_triangle_packing,
 )
+from tourpack.fpt import _disjoint_cover, decide, trial_count
 from tourpack.generators import random_tournament
 from tourpack.oracle import BudgetExceeded, OracleBudget, exact_max_triangle_packing
 
@@ -19,15 +18,56 @@ def T(n, *backward):
     return LinearTournament(n, frozenset(backward))
 
 
+def random_arc_coloring(t, num_colors, rng):
+    """Uniform colors 1..num_colors for every arc of t."""
+    if num_colors < 1:
+        raise ValueError(f"need at least one color, got {num_colors}")
+    return {arc: rng.randint(1, num_colors) for arc in t.arcs()}
+
+
+def colorful_triangle_index(t, colors):
+    """Triangles with three distinct arc colors, keyed by sorted color triple."""
+    index = {}
+    for tri in enumerate_triangles(t):
+        a, b, c = (colors[arc] for arc in tri.arcs())
+        if a != b and b != c and a != c:
+            index.setdefault(tuple(sorted((a, b, c))), []).append(tri)
+    return index
+
+
+def dp_colorful_packing(t, colors, k):
+    """Exact search for k color-disjoint colorful triangles.
+
+    The 3k colors are covered by disjoint color triples exactly when the
+    colored instance carries a k-packing; each triple stands for its
+    first colorful triangle.  This runs the DP that ``decide`` runs in
+    each trial, on a coloring the test fixes.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    num_colors = 3 * k
+    by_mask = {}
+    for triple, tris in sorted(colorful_triangle_index(t, colors).items()):
+        if any(c > num_colors for c in triple):
+            raise ValueError(f"color triple {triple} outside 1..{num_colors}")
+        mask = 0
+        for c in triple:
+            mask |= 1 << (c - 1)
+        by_mask.setdefault(mask, tris[0])
+    cover = _disjoint_cover(by_mask, (1 << num_colors) - 1)
+    if cover is None:
+        return False, None
+    return True, sorted(cover)
+
+
 def test_random_arc_coloring_total_and_seeded():
     t = T(5, (3, 0), (4, 2))
     rng = random.Random(99)
     coloring = random_arc_coloring(t, 6, rng)
-    as_dict = coloring.as_dict()
-    assert set(as_dict) == set(t.arcs())
-    assert all(1 <= c <= 6 for c in as_dict.values())
+    assert set(coloring) == set(t.arcs())
+    assert all(1 <= c <= 6 for c in coloring.values())
     again = random_arc_coloring(t, 6, random.Random(99))
-    assert again.colors == coloring.colors
+    assert again == coloring
     with pytest.raises(ValueError):
         random_arc_coloring(t, 0, rng)
 

@@ -5,6 +5,7 @@ the exhaustive routines in this file before being pinned.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -12,10 +13,13 @@ from tourpack.core import (
     Cycle,
     LinearTournament,
     Triangle,
+    check_cycle_packing,
+    check_triangle_packing,
     enumerate_triangles,
     validate_cycle_packing,
     validate_triangle_packing,
 )
+from tourpack.generators import random_tournament
 from tourpack.oracle import (
     BudgetExceeded,
     OracleBudget,
@@ -220,3 +224,70 @@ def test_perfect_packing_on_rotational_seven():
     size, packing = exact_max_triangle_packing(t)
     assert size == 7
     assert validate_triangle_packing(t, packing)
+
+
+def test_triangle_search_reaches_n12():
+    t = random_tournament(12, 3)
+    size, packing = exact_max_triangle_packing(t, OracleBudget(time_limit=5.0))
+    assert size == 11 == len(packing)
+    assert check_triangle_packing(t, packing) is None
+
+
+def test_cycle_search_reaches_n9():
+    t = random_tournament(9, 5)
+    size, packing = exact_max_cycle_packing(t, OracleBudget(time_limit=5.0))
+    assert size == 8 == len(packing)
+    assert check_cycle_packing(t, packing) is None
+
+
+def test_triangle_cycle_fas_chain():
+    # nu_triangle <= nu_cycle <= tau: a triangle is a cycle, and a
+    # feedback arc set meets every cycle of a packing in its own arc
+    for n in range(3, 9):
+        for seed in range(3):
+            t = random_tournament(n, 100 * n + seed)
+            tri_size, _ = exact_max_triangle_packing(t)
+            cyc_size, _ = exact_max_cycle_packing(t)
+            fas_size, _ = exact_min_fas(t)
+            assert tri_size <= cyc_size <= fas_size, (n, seed)
+
+
+def networkx_cycles(t):
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    g.add_nodes_from(range(t.n))
+    g.add_edges_from(t.arcs())
+    return nx.simple_cycles(g)
+
+
+def test_cycle_enumeration_matches_networkx():
+    rng = random.Random(17)
+    for _ in range(30):
+        t = random_tournament(rng.randint(3, 7), rng)
+        ours = enumerate_simple_cycles(t)
+        assert len(set(ours)) == len(ours)
+        assert set(ours) == {Cycle.of(c) for c in networkx_cycles(t)}
+
+
+def plain_max_packing(members):
+    """Largest arc-disjoint subfamily by include/exclude, with no bound."""
+    arcs = [frozenset(m.arcs()) for m in members]
+
+    def rec(i, used):
+        if i == len(members):
+            return 0
+        best = rec(i + 1, used)
+        if not arcs[i] & used:
+            best = max(best, 1 + rec(i + 1, used | arcs[i]))
+        return best
+
+    return rec(0, frozenset())
+
+
+def test_cycle_packing_matches_plain_search_over_networkx_cycles():
+    rng = random.Random(19)
+    for _ in range(60):
+        t = random_tournament(rng.randint(3, 6), rng)
+        size, packing = exact_max_cycle_packing(t)
+        assert check_cycle_packing(t, packing) is None
+        assert size == plain_max_packing([Cycle.of(c) for c in networkx_cycles(t)])

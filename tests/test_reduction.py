@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from tourpack.core import validate_triangle_packing, local_out_degree
+from helpers import local_out_degree
+from tourpack.core import validate_triangle_packing
 from tourpack.oracle import exact_max_triangle_packing
 from tourpack.reduction import (
     Cnf3Instance,

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from helpers import triple_triangles
 from tourpack.core import (
     LinearTournament,
     packing_arcs,
@@ -11,7 +12,6 @@ from tourpack.steiner import (
     blow_up,
     orient_clique,
     steiner_triple_system,
-    triple_triangles,
     tripartite_perfect_packing,
 )
 
