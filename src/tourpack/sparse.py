@@ -12,7 +12,9 @@ components that are single vertices or digoned trees.
 
 With backward arcs (t_i, h_i) ordered by head, conflict arc i -> j exists
 iff h_i < h_j < t_i or h_i < t_j < t_i (the interval rule), so a segment
-with b backward arcs and |E| conflict arcs costs O(b log b + |E|).
+with b backward arcs and |E| conflict arcs costs O(b log b + |E|).  The
+same rule gives the witness triangle (h_i, h_j, t_i) or (h_i, t_j, t_i)
+of each of the b - k arcs the solution keeps.
 """
 
 from __future__ import annotations
@@ -36,28 +38,21 @@ DIGONED_TREE = "digoned-tree"
 HAS_LONG_CYCLE = "has-long-cycle"
 
 
-@dataclass(frozen=True, slots=True)
-class WitnessPair:
-    """Triangles certifying one conflict arc, by witness shape."""
-
-    head: Triangle | None
-    tail: Triangle | None
-
-
 @dataclass
 class ConflictDigraph:
     """Digraph on the backward arcs of a fully sparse tournament.
 
     Vertex i stands for the i-th backward arc in order of increasing
     head position.  An arc i -> j is present when redirecting arc j's
-    triangle choice frees a triangle for arc i; the witness records
-    which triangle shapes apply.  ``backward`` is None for synthetic
-    digraphs built directly in tests.  ``succ`` and ``pred``, the sorted
-    adjacency lists, are built from ``arcs`` once: keep ``arcs`` fixed.
+    triangle choice frees a triangle for arc i.  ``backward`` holds the
+    backward arcs in that order, from which ``pi_map`` derives witness
+    triangles; it is None for synthetic digraphs built directly in
+    tests.  ``succ`` and ``pred``, the sorted adjacency lists, are built
+    from ``arcs`` once: keep ``arcs`` fixed.
     """
 
     num_vertices: int
-    arcs: dict[tuple[int, int], WitnessPair]
+    arcs: frozenset[tuple[int, int]]
     backward: tuple[tuple[int, int], ...] | None = None
     succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     pred: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
@@ -92,16 +87,10 @@ def normalize_representation(
     if not is_sparse(T):
         raise ValueError("normalization requires a sparse representation")
     perm = list(range(T.n))
-    backward = set(T.backward)
-    changed = True
-    while changed:
-        changed = False
-        for t, h in sorted(backward):
-            if t == h + 1:
-                backward.remove((t, h))
-                perm[h], perm[h + 1] = perm[h + 1], perm[h]
-                changed = True
-    result = LinearTournament(T.n, frozenset(backward))
+    consecutive = {(t, h) for t, h in T.backward if t == h + 1}
+    for _, h in consecutive:
+        perm[h], perm[h + 1] = perm[h + 1], perm[h]
+    result = LinearTournament(T.n, T.backward - consecutive)
     if return_map:
         return result, tuple(perm)
     return result
@@ -152,8 +141,8 @@ def build_conflict_digraph(T: LinearTournament) -> ConflictDigraph:
     """Conflict digraph of a normalized fully sparse tournament.
 
     With backward arcs (t_i, h_i) ordered by head, i -> j exists iff
-    h_i < h_j < t_i (head witness (h_i, h_j, t_i)) or h_i < t_j < t_i
-    (tail witness (h_i, t_j, t_i)); for j > i the second implies the first.
+    h_i < h_j < t_i or h_i < t_j < t_i; for j > i the second implies the
+    first, and for j < i only the second can hold.
     """
     if not is_fully_sparse(T):
         raise ValueError("conflict digraph requires a fully sparse tournament")
@@ -163,20 +152,13 @@ def build_conflict_digraph(T: LinearTournament) -> ConflictDigraph:
     heads = [h for _, h in ordered]
     # the j > i with h_j < t_i form the index run i + 1 .. ends[i] - 1
     ends = [bisect_left(heads, t) for t, _ in ordered]
-    below: list[list[int]] = [[] for _ in ordered]
-    for j, (tj, _) in enumerate(ordered):
-        for i in range(j + 1, ends[j]):
-            if ordered[i][0] > tj:
-                below[i].append(j)  # h_i < t_j < t_i, in increasing j
-    arcs: dict[tuple[int, int], WitnessPair] = {}
-    for i, (ti, hi) in enumerate(ordered):
-        for j in below[i]:
-            arcs[(i, j)] = WitnessPair(None, Triangle(hi, ordered[j][0], ti))
+    arcs: list[tuple[int, int]] = []
+    for i, (ti, _) in enumerate(ordered):
         for j in range(i + 1, ends[i]):
-            tj, hj = ordered[j]
-            tail_w = Triangle(hi, tj, ti) if tj < ti else None
-            arcs[(i, j)] = WitnessPair(Triangle(hi, hj, ti), tail_w)
-    return ConflictDigraph(len(ordered), arcs, tuple(ordered))
+            arcs.append((i, j))
+            if ordered[j][0] > ti:
+                arcs.append((j, i))  # h_j < t_i < t_j
+    return ConflictDigraph(len(ordered), frozenset(arcs), tuple(ordered))
 
 
 def _strong_components(g: ConflictDigraph) -> list[tuple[int, ...]]:
@@ -391,18 +373,25 @@ def solve_pi_prime(
 def pi_map(g: ConflictDigraph, X: list[tuple[int, int]]) -> list[Triangle]:
     """Map each solution arc to a witness triangle, head shape preferred.
 
-    The mapped triangles are checked pairwise arc-disjoint before being
-    returned; a solution arc without a recorded witness is an error.
+    Arc i -> j maps to (h_i, h_j, t_i) when h_i < h_j < t_i, else to
+    (h_i, t_j, t_i) when h_i < t_j < t_i.  The mapped triangles are
+    checked pairwise arc-disjoint before being returned; a solution arc
+    with no witness, as in a synthetic digraph, is an error.
     """
     out: list[Triangle] = []
     used: set[tuple[int, int]] = set()
     for (i, j) in sorted(X):
-        pair = g.arcs.get((i, j))
-        if pair is None:
+        if (i, j) not in g.arcs:
             raise ValueError(f"({i}, {j}) is not an arc of the conflict digraph")
-        tri = pair.head if pair.head is not None else pair.tail
-        if tri is None:
-            raise ValueError(f"conflict arc ({i}, {j}) has no recorded witness")
+        if g.backward is None:
+            raise ValueError(f"conflict arc ({i}, {j}) has no backward arcs to map")
+        (ti, hi), (tj, hj) = g.backward[i], g.backward[j]
+        if hi < hj < ti:
+            tri = Triangle(hi, hj, ti)
+        elif hi < tj < ti:
+            tri = Triangle(hi, tj, ti)
+        else:
+            raise ValueError(f"conflict arc ({i}, {j}) has no witness triangle")
         for arc in tri.arcs():
             if arc in used:
                 raise RuntimeError(

@@ -13,12 +13,12 @@ from tourpack.generators import (
     random_sparse_tournament,
 )
 from tourpack.oracle import exact_max_cycle_packing, exact_max_triangle_packing
+from tourpack import sparse
 from tourpack.sparse import (
     DIGONED_TREE,
     HAS_LONG_CYCLE,
     ISOLATED_VERTEX,
     ConflictDigraph,
-    WitnessPair,
     build_conflict_digraph,
     classify_components,
     decompose,
@@ -35,7 +35,7 @@ def T(n, *backward):
 
 
 def digraph(n, *arcs):
-    return ConflictDigraph(n, {a: WitnessPair(None, None) for a in arcs})
+    return ConflictDigraph(n, frozenset(arcs))
 
 
 def _triangle_if(t, a, b, c):
@@ -45,7 +45,10 @@ def _triangle_if(t, a, b, c):
 
 
 def reference_conflict_arcs(t):
-    """Conflict arcs by probing both witness shapes for every ordered pair."""
+    """Conflict arcs by probing both witness shapes for every ordered pair.
+
+    Maps each arc to its witness, the head shape preferred.
+    """
     ordered = sorted(t.backward, key=lambda arc: arc[1])
     arcs = {}
     for i, (ti, hi) in enumerate(ordered):
@@ -55,7 +58,7 @@ def reference_conflict_arcs(t):
             head_w = _triangle_if(t, hi, hj, ti)
             tail_w = _triangle_if(t, hi, tj, ti)
             if head_w is not None or tail_w is not None:
-                arcs[(i, j)] = WitnessPair(head_w, tail_w)
+                arcs[(i, j)] = head_w if head_w is not None else tail_w
     return arcs
 
 
@@ -132,9 +135,9 @@ def test_conflict_digraph_digon():
     g = build_conflict_digraph(T(4, (2, 0), (3, 1)))
     assert g.num_vertices == 2
     assert g.backward == ((2, 0), (3, 1))
-    assert set(g.arcs) == {(0, 1), (1, 0)}
-    assert g.arcs[(0, 1)] == WitnessPair(Triangle(0, 1, 2), None)
-    assert g.arcs[(1, 0)] == WitnessPair(None, Triangle(1, 2, 3))
+    assert g.arcs == frozenset({(0, 1), (1, 0)})
+    assert pi_map(g, [(0, 1)]) == [Triangle(0, 1, 2)]
+    assert pi_map(g, [(1, 0)]) == [Triangle(1, 2, 3)]
 
 
 def test_conflict_digraph_three_interleaved():
@@ -150,10 +153,12 @@ def test_conflict_digraph_interval_rule_matches_reference():
         t = random_fully_sparse_tournament(2 * rng.randint(2, 20), rng)
         g = build_conflict_digraph(t)
         ref = reference_conflict_arcs(t)
-        assert list(g.arcs.items()) == list(ref.items()), (trial, t)
+        assert g.arcs == frozenset(ref), (trial, t)
         for i in range(g.num_vertices):
             assert g.succ[i] == tuple(sorted(j for a, j in ref if a == i))
             assert g.pred[i] == tuple(sorted(a for a, j in ref if j == i))
+        for arc, witness in ref.items():
+            assert pi_map(g, [arc]) == [witness], (trial, t, arc)
 
 
 def test_conflict_digraph_input_checks():
@@ -226,6 +231,27 @@ def test_pi_map_rejects_unknown_arc():
         pi_map(g, [(0, 0)])
 
 
+def test_pi_map_rejects_synthetic_digraph():
+    with pytest.raises(ValueError):
+        pi_map(digraph(2, (0, 1), (1, 0)), [(1, 0)])
+
+
+def test_triangles_are_made_only_for_chosen_arcs(monkeypatch):
+    made = 0
+
+    def counting_triangle(*vertices):
+        nonlocal made
+        made += 1
+        return Triangle(*vertices)
+
+    monkeypatch.setattr(sparse, "Triangle", counting_triangle)
+    g = build_conflict_digraph(random_fully_sparse_tournament(400, 3))
+    assert made == 0
+    X = solve_pi_prime(g)
+    assert len(pi_map(g, X)) == len(X) > 0
+    assert made == len(X)
+
+
 def test_pi_map_golden_three_interleaved():
     g = build_conflict_digraph(T(6, (3, 0), (4, 1), (5, 2)))
     X = solve_pi_prime(g)
@@ -256,9 +282,15 @@ def test_sparse_solver_rejects_non_sparse():
 
 def test_sparse_solver_matches_oracle():
     rng = random.Random(23)
-    for trial in range(60):
-        n = rng.randint(2, 10)
-        t = random_sparse_tournament(n, rng.randint(0, 10**6))
+    instances = [
+        random_sparse_tournament(rng.randint(2, 10), rng.randint(0, 10**6))
+        for _ in range(60)
+    ]
+    for n in range(4, 13):
+        instances += [random_sparse_tournament(n, seed) for seed in range(10)]
+    for n in range(4, 13, 2):
+        instances += [random_fully_sparse_tournament(n, seed) for seed in range(14)]
+    for trial, t in enumerate(instances):
         size, packing = max_triangle_packing_sparse(t)
         assert validate_triangle_packing(t, packing)
         assert len(packing) == size
@@ -268,8 +300,15 @@ def test_sparse_solver_matches_oracle():
 
 def test_sparse_cycle_solver_matches_triangle_optimum():
     rng = random.Random(29)
-    for _ in range(20):
-        t = random_sparse_tournament(rng.randint(2, 9), rng.randint(0, 10**6))
+    instances = [
+        random_sparse_tournament(rng.randint(2, 9), rng.randint(0, 10**6))
+        for _ in range(20)
+    ]
+    for n in range(4, 10):
+        instances += [random_sparse_tournament(n, seed) for seed in range(5)]
+    for n in range(4, 10, 2):
+        instances += [random_fully_sparse_tournament(n, seed) for seed in range(5)]
+    for t in instances:
         tri_size, _ = max_triangle_packing_sparse(t)
         cyc_size, cycles = max_cycle_packing_sparse(t)
         assert cyc_size == tri_size
